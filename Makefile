@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-fed chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire fuzz-wire linkcheck ci
+.PHONY: all build vet gofmt test race chaos-smoke load-smoke bench-smoke bench bench-portal bench-portal-load bench-recovery bench-netprobe bench-wire perfbench fuzz-wire linkcheck ci
 
 all: ci
 
@@ -13,15 +13,27 @@ vet:
 test:
 	$(GO) test ./...
 
-race:
-	$(GO) test -race ./...
+# Fail when any Go file needs gofmt.
+gofmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
-# The federation's concurrency-heavy packages under the race detector:
-# heartbeat monitor, wire client/server resilience, fault injectors,
-# the registry's health-driven placement, and the portal serving layer
-# (epoch cache + SSE hub + admission under churn, obs instruments).
-race-fed:
-	$(GO) test -race ./internal/health/ ./internal/wire/ ./internal/netfault/ ./internal/facility/ ./internal/transfer/ ./internal/portal/ ./internal/obs/
+# The one race matrix, run by `make ci` and so by the workflow: every
+# package with concurrent machinery — the chunk engine's worker pool
+# (transfer), wire client/server sessions and resilience, the batcher
+# (watcher), the flow engine, the WAL's timer flusher (durable), the
+# fault injectors, the heartbeat monitor, the registry's health-driven
+# placement, the probe sampler feeding live tuner reads, and the portal
+# serving layer (epoch cache + SSE hub + admission under churn, obs
+# instruments). Then the daemon end-to-end gates, which drive concurrent
+# wire sessions: the SIGKILL kill-and-resume acceptance test and the
+# cross-path equivalence campaign.
+RACE_PKGS = ./internal/core/ ./internal/durable/ ./internal/facility/ ./internal/flows/ \
+	./internal/fsutil/ ./internal/health/ ./internal/netfault/ ./internal/netprobe/ \
+	./internal/netsim/ ./internal/obs/ ./internal/portal/ ./internal/search/ \
+	./internal/sim/ ./internal/transfer/ ./internal/watcher/ ./internal/wire/
+race:
+	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run 'TestWireDaemon|TestWireCrossPathEquivalence' .
 
 # A short-mode pass of the chaos soak and the heartbeat detection gate
 # (DESIGN.md §12): a scaled-down daemon federation under the seeded
@@ -50,7 +62,7 @@ bench-portal-load:
 
 # The catalog serving benchmarks (BENCHMARKS.md "Portal serving"): one
 # execution each, with allocation counts. Raise -benchtime (e.g.
-# BENCHFLAGS='-benchtime 2s -count 5') when recording benchstat pairs.
+# BENCHFLAGS='-benchtime 2s -count 5') when recording comparison pairs.
 bench-portal:
 	$(GO) test -run NONE -bench 'BenchmarkPortalQueryThroughput|BenchmarkSearchTopK' -benchtime 1x -benchmem $(BENCHFLAGS) .
 
@@ -71,6 +83,14 @@ bench-netprobe:
 # and the reconnect-resume retry cost. Quote with -benchtime 10x.
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkWire' -benchtime 3x -benchmem $(BENCHFLAGS) ./internal/transfer/
+
+# The live Fig 4 benchmark (BENCHMARKS.md "Comparing runs",
+# perfbench/README.md): one run of one workload. PERFBENCH_ARGS picks
+# it, e.g. PERFBENCH_ARGS='--workload spatiotemporal-wire --seed 3
+# --trace 1', or 'compare OLD.jsonl NEW.jsonl' to judge two sets of runs.
+PERFBENCH_ARGS ?= --workload hyperspectral-wire --seed 1 --seconds 30 --trace 0
+perfbench:
+	bash perfbench/run.sh $(PERFBENCH_ARGS)
 
 # A short coverage-guided run of the wire codec fuzzer on top of the
 # checked-in seed corpus (internal/wire/testdata/fuzz). FUZZTIME=30s to
@@ -93,4 +113,4 @@ bench:
 linkcheck:
 	$(GO) run ./tools/linkcheck
 
-ci: build vet test race-fed chaos-smoke load-smoke bench-smoke fuzz-wire linkcheck
+ci: build vet gofmt test race chaos-smoke load-smoke bench-smoke fuzz-wire linkcheck

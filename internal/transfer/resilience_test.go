@@ -90,9 +90,9 @@ func TestRetryBackoffSpacesAttempts(t *testing.T) {
 	}
 }
 
-// chunkRejectServer speaks just enough wire protocol for shipChunk:
-// Hello, then MsgWrite answered with the configured code for the first
-// `rejects` writes and MsgWriteOK afterwards.
+// chunkRejectServer speaks just enough wire protocol for a wire sink's
+// chunk write: Hello, then MsgWrite answered with the configured code
+// for the first `rejects` writes and MsgWriteOK afterwards.
 func chunkRejectServer(t *testing.T, code string, rejects int) (addr string, writes *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -147,8 +147,9 @@ func shipOneChunk(t *testing.T, m *WireMover, addr string) error {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cl := m.client(addr)
-	_, err = m.shipChunk(cl, f, "c.bin", chunkSpan{File: 0, Index: 0, Off: 0, N: 512})
+	sink := m.sink(addr)
+	sink.rels = []string{"c.bin"}
+	_, err = sink.write(f, chunkSpan{File: 0, Index: 0, Off: 0, N: 512}, m.engine().newHash())
 	return err
 }
 
@@ -202,7 +203,7 @@ func TestShipChunkNegativeRetriesDisables(t *testing.T) {
 // TestShipChunkDoesNotResendOnCorrupt: the corrupt code means the
 // STREAM is damaged, not the chunk bytes — that is the service-attempt
 // retry's job (and the attempts=2 contract of the corrupt-on-wire
-// test), so shipChunk must not absorb it.
+// test), so the wire sink's write must not absorb it.
 func TestShipChunkDoesNotResendOnCorrupt(t *testing.T) {
 	addr, writes := chunkRejectServer(t, wire.CodeCorrupt, 1)
 	m := &WireMover{Checksum: true, ChunkBytes: 1024, Timeout: 5 * time.Second,

@@ -39,73 +39,71 @@ func findManifest(t *testing.T, dir string) string {
 // no longer be accounted for. The attempt fails loudly, the corrupt file
 // is quarantined as .corrupt, and only then does a retry start clean.
 func TestTornManifestQuarantinedAndFailsLoudly(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
+	for _, sink := range sinks {
+		t.Run(sink, func(t *testing.T) {
+			iss, tok := issuerAndToken(t)
+			srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
+			const chunk = 8 << 10
+			payload := writeRandom(t, filepath.Join(srcRoot, "f.emdg"), 8*chunk, 11)
 
-	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
-		ManifestDir: manDir, KillAfterChunks: 3,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc1.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id1, err := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, svc1, tok, id1, StatusFailed)
+			svc1 := sinkService(t, sink, iss, &LiveMover{
+				Checksum: true, ChunkBytes: chunk, Streams: 1,
+				ManifestDir: manDir, KillAfterChunks: 3,
+			}, Options{MaxAttempts: 1}, srcRoot, dstRoot)
+			id1, err := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, svc1, tok, id1, StatusFailed)
 
-	// Tear the persisted manifest's tail mid-JSON.
-	manPath := findManifest(t, manDir)
-	raw, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(manPath, int64(len(raw)/2)); err != nil {
-		t.Fatal(err)
-	}
+			// Tear the persisted manifest's tail mid-JSON.
+			manPath := findManifest(t, manDir)
+			raw, err := os.ReadFile(manPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(manPath, int64(len(raw)/2)); err != nil {
+				t.Fatal(err)
+			}
 
-	// A new service over the torn manifest must refuse loudly, not resume
-	// from zero over an unaccounted-for destination.
-	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id2, err := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := waitFor(t, svc2, tok, id2, StatusFailed)
-	if !strings.Contains(v2.Error, "corrupt chunk manifest") {
-		t.Errorf("error = %q, want corrupt-manifest mention", v2.Error)
-	}
-	if _, err := os.Stat(manPath + ".corrupt"); err != nil {
-		t.Errorf("corrupt manifest not quarantined: %v", err)
-	}
-	if _, err := os.Stat(manPath); !os.IsNotExist(err) {
-		t.Errorf("torn manifest still in place (err=%v)", err)
-	}
+			// A new service over the torn manifest must refuse loudly, not resume
+			// from zero over an unaccounted-for destination.
+			svc2 := sinkService(t, sink, iss, &LiveMover{
+				Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+			}, Options{MaxAttempts: 1}, srcRoot, dstRoot)
+			id2, err := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2 := waitFor(t, svc2, tok, id2, StatusFailed)
+			if !strings.Contains(v2.Error, "corrupt chunk manifest") {
+				t.Errorf("error = %q, want corrupt-manifest mention", v2.Error)
+			}
+			if _, err := os.Stat(manPath + ".corrupt"); err != nil {
+				t.Errorf("corrupt manifest not quarantined: %v", err)
+			}
+			if _, err := os.Stat(manPath); !os.IsNotExist(err) {
+				t.Errorf("torn manifest still in place (err=%v)", err)
+			}
 
-	// With the quarantine done, a third service starts from a fresh
-	// manifest and completes correctly.
-	svc3 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{})
-	svc3.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc3.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id3, err := svc3.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := waitFor(t, svc3, tok, id3, StatusSucceeded)
-	if v3.ChunksSkipped != 0 {
-		t.Errorf("fresh-after-quarantine run skipped %d chunks, want 0", v3.ChunksSkipped)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("content mismatch after quarantine recovery (err=%v)", err)
+			// With the quarantine done, a third service starts from a fresh
+			// manifest and completes correctly.
+			svc3 := sinkService(t, sink, iss, &LiveMover{
+				Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+			}, Options{}, srcRoot, dstRoot)
+			id3, err := svc3.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v3 := waitFor(t, svc3, tok, id3, StatusSucceeded)
+			if v3.ChunksSkipped != 0 {
+				t.Errorf("fresh-after-quarantine run skipped %d chunks, want 0", v3.ChunksSkipped)
+			}
+			got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Errorf("content mismatch after quarantine recovery (err=%v)", err)
+			}
+		})
 	}
 }
 

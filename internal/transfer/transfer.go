@@ -1,21 +1,23 @@
 // Package transfer is the managed file-transfer service standing in for
 // Globus Transfer: clients submit transfer tasks between registered
 // endpoints and poll task status, exactly the interaction pattern the
-// paper's flows use for their Data Transfer stage. The byte movement is a
-// pipelined chunk engine: a task's files are split into fixed-size
-// chunks, moved by a bounded worker pool over N concurrent streams, and
-// recorded in a per-task chunk manifest so an interrupted or failed
-// transfer resumes from the last verified chunk instead of restarting
-// (retry cost is O(remaining chunks)). Two movers implement it: a live
-// mover that really copies chunks as parallel ranged writes between
-// endpoint roots on disk with per-chunk SHA-256 and a verified merge, and
-// a simulated mover that drives the same framing over the netsim
-// fluid-flow network so 1-hour facility experiments run in milliseconds
-// of virtual time. Failed moves are retried with bounded attempts,
-// mirroring the service-managed fault tolerance the paper delegates to
-// Globus; with chunk framing disabled and a single stream, both movers
-// degenerate exactly to the original whole-file, single-stream behavior
-// the Table 1 reproductions pin.
+// paper's flows use for their Data Transfer stage. Bytes move through
+// one chunk engine: a task's files are split into fixed-size chunks,
+// moved by a bounded worker pool over N concurrent streams, checked by a
+// verified merge that produces each whole-file SHA-256, and recorded in
+// a per-task chunk manifest so an interrupted or failed transfer resumes
+// from the last verified chunk instead of restarting (retry cost is
+// O(remaining chunks)). The engine writes through a chunk sink, and two
+// sinks exist: LiveMover's lands chunks as ranged writes under a local
+// endpoint root, and WireMover's ships them to a facility daemon over
+// the wire protocol. A simulated mover drives the same framing over the
+// netsim fluid-flow network so 1-hour facility experiments run in
+// milliseconds of virtual time. Failed moves are retried with bounded
+// attempts, mirroring the service-managed fault tolerance the paper
+// delegates to Globus; with chunk framing disabled and a single stream,
+// the movers degenerate exactly to the original whole-file,
+// single-stream behavior the Table 1 reproductions pin. Every submitted
+// path must stay inside its endpoint roots (wire.CheckRel).
 package transfer
 
 import (
@@ -46,7 +48,7 @@ type Endpoint struct {
 }
 
 // FileSpec names one file of a task, relative to the endpoint roots. Bytes
-// drives the simulated mover; the live mover stats the real file.
+// drives the simulated mover; the chunk engine stats the real file.
 type FileSpec struct {
 	RelPath string
 	Bytes   int64
@@ -129,7 +131,7 @@ type Mover interface {
 
 // taskForgetter is an optional Mover extension: the service calls it
 // when a task fails permanently (retries exhausted), so movers that keep
-// per-task-ID resume state can drop it. The live mover does not need it
+// per-task-ID resume state can drop it. The chunk engine does not need it
 // — its manifests are keyed by task fingerprint so a resubmitted task
 // still resumes.
 type taskForgetter interface {
@@ -200,6 +202,11 @@ func (s *Service) Submit(token, srcID, dstID string, files []FileSpec) (string, 
 	}
 	if len(files) == 0 {
 		return "", fmt.Errorf("transfer: task has no files")
+	}
+	for _, f := range files {
+		if err := wire.CheckRel(f.RelPath); err != nil {
+			return "", fmt.Errorf("transfer: %w", err)
+		}
 	}
 	s.mu.Lock()
 	src, ok := s.endpoints[srcID]

@@ -127,6 +127,11 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := svc.Submit(tok, "a", "a", nil); err == nil {
 		t.Error("empty file list accepted")
 	}
+	for _, rel := range []string{"../x", "/abs", "a/../../x"} {
+		if _, err := svc.Submit(tok, "a", "a", []FileSpec{{RelPath: rel}}); err == nil {
+			t.Errorf("path %q outside the endpoint roots accepted", rel)
+		}
+	}
 	if _, err := svc.Status(tok, "bogus"); err == nil {
 		t.Error("unknown task accepted")
 	}
@@ -697,40 +702,40 @@ func TestNoChecksumResumeDetectsLostDestination(t *testing.T) {
 // the old content's chunks — the fingerprint changes, the transfer
 // restarts, and the destination matches the NEW source.
 func TestRewrittenSourceInvalidatesManifest(t *testing.T) {
-	iss, tok := issuerAndToken(t)
-	srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
-	const chunk = 8 << 10
-	srcPath := filepath.Join(srcRoot, "f.emdg")
-	writeRandom(t, srcPath, 4*chunk, 7)
-	os.Chtimes(srcPath, time.Unix(1000, 0), time.Unix(1000, 0))
+	for _, sink := range sinks {
+		t.Run(sink, func(t *testing.T) {
+			iss, tok := issuerAndToken(t)
+			srcRoot, dstRoot, manDir := t.TempDir(), t.TempDir(), t.TempDir()
+			const chunk = 8 << 10
+			srcPath := filepath.Join(srcRoot, "f.emdg")
+			writeRandom(t, srcPath, 4*chunk, 7)
+			os.Chtimes(srcPath, time.Unix(1000, 0), time.Unix(1000, 0))
 
-	svc1 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1,
-		ManifestDir: manDir, KillAfterChunks: 2,
-	}, time.Now, Options{MaxAttempts: 1})
-	svc1.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc1.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id1, _ := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	waitFor(t, svc1, tok, id1, StatusFailed)
+			svc1 := sinkService(t, sink, iss, &LiveMover{
+				Checksum: true, ChunkBytes: chunk, Streams: 1,
+				ManifestDir: manDir, KillAfterChunks: 2,
+			}, Options{MaxAttempts: 1}, srcRoot, dstRoot)
+			id1, _ := svc1.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+			waitFor(t, svc1, tok, id1, StatusFailed)
 
-	// Rewrite the source: same size, different bytes, different mtime.
-	newPayload := writeRandom(t, srcPath, 4*chunk, 8)
-	os.Chtimes(srcPath, time.Unix(2000, 0), time.Unix(2000, 0))
+			// Rewrite the source: same size, different bytes, different mtime.
+			newPayload := writeRandom(t, srcPath, 4*chunk, 8)
+			os.Chtimes(srcPath, time.Unix(2000, 0), time.Unix(2000, 0))
 
-	svc2 := NewService(iss, &LiveMover{
-		Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
-	}, time.Now, Options{})
-	svc2.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
-	svc2.RegisterEndpoint(Endpoint{ID: "dst", Root: dstRoot})
-	id2, _ := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
-	v2 := waitFor(t, svc2, tok, id2, StatusSucceeded)
-	if v2.ChunksSkipped != 0 || v2.ChunksMoved != 4 {
-		t.Errorf("skipped/moved = %d/%d, want 0/4 (rewritten source must not resume)",
-			v2.ChunksSkipped, v2.ChunksMoved)
-	}
-	got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
-	if err != nil || !bytes.Equal(got, newPayload) {
-		t.Errorf("destination does not match the rewritten source (err=%v)", err)
+			svc2 := sinkService(t, sink, iss, &LiveMover{
+				Checksum: true, ChunkBytes: chunk, Streams: 1, ManifestDir: manDir,
+			}, Options{}, srcRoot, dstRoot)
+			id2, _ := svc2.Submit(tok, "src", "dst", []FileSpec{{RelPath: "f.emdg"}})
+			v2 := waitFor(t, svc2, tok, id2, StatusSucceeded)
+			if v2.ChunksSkipped != 0 || v2.ChunksMoved != 4 {
+				t.Errorf("skipped/moved = %d/%d, want 0/4 (rewritten source must not resume)",
+					v2.ChunksSkipped, v2.ChunksMoved)
+			}
+			got, err := os.ReadFile(filepath.Join(dstRoot, "f.emdg"))
+			if err != nil || !bytes.Equal(got, newPayload) {
+				t.Errorf("destination does not match the rewritten source (err=%v)", err)
+			}
+		})
 	}
 }
 

@@ -70,6 +70,40 @@ func newWireWorld(t *testing.T, mutate func(*WireMover), opts Options) *wireWorl
 	return w
 }
 
+// sinks names the chunk engine's two sinks. The engine's resume,
+// torn-manifest and adaptive tests run once per entry: "local" lands
+// files directly under the destination root, "wire" ships them to an
+// in-process daemon serving that root on loopback, as newWireWorld does.
+var sinks = []string{"local", "wire"}
+
+// sinkService builds a service whose mover runs cfg's engine settings
+// through the named sink, with endpoints "src" over srcRoot and "dst"
+// landing files under dstRoot.
+func sinkService(t *testing.T, sink string, iss *auth.Issuer, cfg *LiveMover, opts Options, srcRoot, dstRoot string) *Service {
+	t.Helper()
+	var mover Mover = cfg
+	dst := dstRoot
+	if sink == "wire" {
+		srv := &wire.Server{Root: dstRoot, Facility: "test"}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		wm := &WireMover{
+			Checksum: cfg.Checksum, ChunkBytes: cfg.ChunkBytes, Streams: cfg.Streams, Tuner: cfg.Tuner,
+			ManifestDir: cfg.ManifestDir, KillAfterChunks: cfg.KillAfterChunks, FS: cfg.FS,
+			Timeout: 10 * time.Second,
+		}
+		t.Cleanup(func() { wm.Close() })
+		mover, dst = wm, addr
+	}
+	svc := NewService(iss, mover, time.Now, opts)
+	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
+	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dst})
+	return svc
+}
+
 func (w *wireWorld) stage(t *testing.T, rel string, n int, seed int64) []byte {
 	t.Helper()
 	data := make([]byte, n)
@@ -237,7 +271,8 @@ func TestWireMoverDestinationCorruptionRefetched(t *testing.T) {
 	}
 }
 
-// TestWireMoverMergeDemotesMismatchedChunk drives mergeRemote directly:
+// TestWireMoverMergeDemotesMismatchedChunk drives the engine's merge
+// through the wire sink directly:
 // when the daemon's merge rejects a chunk whose landed bytes do not
 // match the recorded digest, the mover demotes exactly that chunk in
 // its manifest — the damaged bytes are never folded into a completed
@@ -277,7 +312,9 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	wrong := strings.Repeat("ab", 32)
 	w.mover.store().mark(man, spans[1], wrong, true)
 
-	_, err = w.mover.mergeRemote(cl, man, 0)
+	sink := w.mover.sink(w.addr)
+	sink.rels = []string{"m.bin"}
+	_, err = w.mover.engine().merge(sink, man, 0)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("merge err = %v, want checksum mismatch", err)
 	}

@@ -118,6 +118,16 @@ func TestBatcherBackpressure(t *testing.T) {
 		t.Fatalf("second batch = %+v", second)
 	}
 	b.Done(second)
+	// The counters are bumped just after each hand-off, so read them once
+	// the batcher has drained the closed source and closed Batches.
+	select {
+	case extra, ok := <-b.Batches():
+		if ok {
+			t.Fatalf("unexpected third batch: %+v", extra)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("batches channel not closed after the source drained")
+	}
 	if st := b.Stats(); st.Batches != 2 || st.Files != 2 || st.MaxInFlightBytes != 800 {
 		t.Errorf("stats = %+v", st)
 	}

@@ -482,17 +482,24 @@ func (s *Server) handle(c net.Conn, typ byte, head, body []byte) bool {
 	return WriteFrame(c, respTyp, respHead, respBody) == nil
 }
 
-// resolve confines rel under Root; path escapes are a bad request, not
-// an os error — a daemon must never serve outside its root.
+// CheckRel is the one confinement rule for endpoint-relative paths. The
+// daemon applies it to every file op and transfer.Service to every
+// submitted task: a path must be non-empty, relative, and must not climb
+// out of its root with "..". A violation is a bad request, not an os
+// error — no endpoint ever serves or lands bytes outside its root.
+func CheckRel(rel string) error {
+	if !filepath.IsLocal(filepath.FromSlash(rel)) {
+		return fmt.Errorf("wire: bad path %q: empty, absolute, or escapes the endpoint root", rel)
+	}
+	return nil
+}
+
+// resolve confines rel under Root.
 func (s *Server) resolve(rel string) (string, error) {
-	if rel == "" || filepath.IsAbs(rel) {
-		return "", fmt.Errorf("wire: bad relative path %q", rel)
+	if err := CheckRel(rel); err != nil {
+		return "", err
 	}
-	clean := filepath.Clean(filepath.FromSlash(rel))
-	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		return "", fmt.Errorf("wire: path %q escapes the facility root", rel)
-	}
-	return filepath.Join(s.Root, clean), nil
+	return filepath.Join(s.Root, filepath.FromSlash(rel)), nil
 }
 
 // resolveArgs rewrites a relative "path" argument under Root so
@@ -514,14 +521,7 @@ func (s *Server) prepare(req Prepare) error {
 	if req.Size < 0 {
 		return fmt.Errorf("wire: bad prepare size %d", req.Size)
 	}
-	path, err := s.resolve(req.Rel)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.create(req.Rel)
 	if err != nil {
 		return err
 	}
@@ -540,20 +540,26 @@ func (s *Server) writeChunk(req Write, body []byte) error {
 				Msg: fmt.Sprintf("chunk @%d of %s: declared digest %s, received bytes hash to %s", req.Off, req.Rel, req.SHA256, got)}
 		}
 	}
-	path, err := s.resolve(req.Rel)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.create(req.Rel)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	_, err = f.WriteAt(body, req.Off)
 	return err
+}
+
+// create opens rel under Root for writing, creating it and its parent
+// directories as needed.
+func (s *Server) create(rel string) (*os.File, error) {
+	path, err := s.resolve(rel)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 }
 
 func (s *Server) readRange(rel string, off, n int64) ([]byte, error) {
@@ -592,56 +598,65 @@ func (s *Server) hashRange(rel string, off, n int64) (bool, string, error) {
 		return false, "", err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	return HashRange(f, off, n, nil)
+}
+
+// merge is the server half of the verified merge (see VerifyMerge).
+func (s *Server) merge(req Merge) (sum string, badChunk int, err error) {
+	path, err := s.resolve(req.Rel)
 	if err != nil {
+		return "", -1, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", -1, err
+	}
+	defer f.Close()
+	return VerifyMerge(f, req.Rel, req.Chunks, make([]byte, 256<<10))
+}
+
+// HashRange digests the range [off, off+n) of a landed file; present is
+// false when the file is shorter than the range. buf is the copy scratch
+// (nil allocates one). The daemon's Hash handler and the transfer
+// engine's local sink both verify resumed chunks through it.
+func HashRange(f *os.File, off, n int64, buf []byte) (present bool, sum string, err error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() < off+n {
 		return false, "", err
 	}
-	if st.Size() < off+n {
-		return false, "", nil
-	}
 	h := sha256.New()
-	if _, err := io.Copy(h, io.NewSectionReader(f, off, n)); err != nil {
+	if _, err := io.CopyBuffer(h, io.NewSectionReader(f, off, n), buf); err != nil {
 		return false, "", err
 	}
 	return true, hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// merge is the server half of the verified merge: a single sequential
-// pass over the landed file computing the whole-file digest while
-// checking each chunk of the recorded plan. It returns badChunk >= 0
-// (and no digest) on the first mismatch; the plan must tile the file
-// exactly.
-func (s *Server) merge(req Merge) (sum string, badChunk int, err error) {
-	path, rerr := s.resolve(req.Rel)
-	if rerr != nil {
-		return "", -1, rerr
-	}
-	f, oerr := os.Open(path)
-	if oerr != nil {
-		return "", -1, oerr
-	}
-	defer f.Close()
-	st, serr := f.Stat()
-	if serr != nil {
-		return "", -1, serr
+// VerifyMerge is the verified merge over a landed file, written once for
+// the daemon's Merge handler and the transfer engine's local sink: a
+// single sequential pass computing the whole-file SHA-256 while checking
+// each chunk of the recorded plan against its digest. The plan must tile
+// the file exactly. It returns badChunk >= 0 (and no digest) on the
+// first chunk whose landed bytes do not match. buf is the copy scratch.
+func VerifyMerge(f *os.File, rel string, chunks []MergeChunk, buf []byte) (sum string, badChunk int, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return "", -1, err
 	}
 	var expectOff int64
-	for _, c := range req.Chunks {
+	for _, c := range chunks {
 		if c.Off != expectOff || c.N < 0 {
-			return "", -1, fmt.Errorf("wire: bad merge plan for %s: not contiguous at @%d", req.Rel, c.Off)
+			return "", -1, fmt.Errorf("wire: bad merge plan for %s: not contiguous at @%d", rel, c.Off)
 		}
 		expectOff += c.N
 	}
 	if expectOff != st.Size() {
-		return "", -1, fmt.Errorf("wire: bad merge plan: covers %d bytes, file %s has %d", expectOff, req.Rel, st.Size())
+		return "", -1, fmt.Errorf("wire: bad merge plan: covers %d bytes, file %s has %d", expectOff, rel, st.Size())
 	}
-	whole := sha256.New()
-	buf := make([]byte, 256<<10)
-	for i, c := range req.Chunks {
-		chunk := sha256.New()
-		r := io.NewSectionReader(f, c.Off, c.N)
-		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), r, buf); err != nil {
-			return "", -1, fmt.Errorf("wire: merge read %s @%d: %w", req.Rel, c.Off, err)
+	whole, chunk := sha256.New(), sha256.New()
+	for i, c := range chunks {
+		chunk.Reset()
+		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), io.NewSectionReader(f, c.Off, c.N), buf); err != nil {
+			return "", -1, fmt.Errorf("wire: merge read %s @%d: %w", rel, c.Off, err)
 		}
 		if c.SHA256 != "" && hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {
 			return "", i, nil
@@ -661,7 +676,7 @@ func classify(err error) *ErrFrame {
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		code = CodeNotFound
-	case strings.HasPrefix(err.Error(), "wire: bad"), strings.Contains(err.Error(), "escapes the facility root"):
+	case strings.HasPrefix(err.Error(), "wire: bad"):
 		code = CodeBadRequest
 	}
 	return &ErrFrame{Code: code, Msg: err.Error()}
