@@ -80,6 +80,7 @@ bench-netprobe:
 
 # Wire data-plane smoke (BENCHMARKS.md "Wire transport"): localhost
 # daemon throughput through the full framing/checksum/manifest path,
+# one live-benchmark-shaped batch (8 x 4 MiB, 64 MiB chunks, 4 streams)
 # and the reconnect-resume retry cost. Quote with -benchtime 10x.
 bench-wire:
 	$(GO) test -run NONE -bench 'BenchmarkWire' -benchtime 3x -benchmem $(BENCHFLAGS) ./internal/transfer/

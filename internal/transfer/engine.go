@@ -17,12 +17,14 @@ import (
 // attempt stats and opens the sources, fingerprints the task, loads its
 // chunk manifest, opens the destination through a chunk sink, verifies
 // the chunks the manifest marks done, runs the bounded worker pool over
-// the rest, and finishes with a verified merge per file. LiveMover and
-// WireMover differ only in the sink they hand it: local ranged writes
-// under a directory root, or wire requests to a facility daemon.
+// the rest, and finishes with a verified merge per file, up to Streams
+// files at a time. LiveMover and WireMover differ only in the sink they
+// hand it: local ranged writes under a directory root, or wire requests
+// to a facility daemon.
 type engine struct {
 	checksum   bool
 	chunkBytes int64
+	maxChunk   int64 // caps planned chunks, ChunkBytes 0 included (0 = no cap)
 	streams    int
 	tuner      RouteTuner
 	killAfter  int
@@ -83,11 +85,17 @@ func (e engine) move(task *Task, src, dst *Endpoint, sink chunkSink) (Report, er
 		files[i] = FileSpec{RelPath: f.RelPath, Bytes: st.Size()}
 		mtimes[i] = st.ModTime().UnixNano()
 	}
-	chunkBytes, keyChunk := e.chunkBytes, e.chunkBytes
+	chunkBytes := e.chunkBytes
 	if e.tuner != nil {
 		if _, cb := e.tuner.Tune(); cb > 0 {
 			chunkBytes = cb
 		}
+	}
+	if e.maxChunk > 0 && (chunkBytes <= 0 || chunkBytes > e.maxChunk) {
+		chunkBytes = e.maxChunk
+	}
+	keyChunk := chunkBytes
+	if e.tuner != nil {
 		keyChunk = adaptiveChunkSentinel
 	}
 	key := taskKey(src.ID, dst.ID, files, keyChunk, mtimes)
@@ -124,16 +132,15 @@ func (e engine) move(task *Task, src, dst *Endpoint, sink chunkSink) (Report, er
 		return rep, err
 	}
 
-	sums := map[string]string{}
+	sums, err := e.mergeAll(sink, man, len(files))
+	if err != nil {
+		return rep, err
+	}
+	rep.Checksums = map[string]string{}
 	for fi, f := range files {
-		sum, err := e.merge(sink, man, fi)
-		if err != nil {
-			return rep, err
-		}
-		sums[f.RelPath] = sum
+		rep.Checksums[f.RelPath] = sums[fi]
 		rep.BytesMoved += f.Bytes
 	}
-	rep.Checksums = sums
 	e.store.forget(key)
 	return rep, nil
 }
@@ -230,6 +237,33 @@ func (e engine) tunedStreams(pool int) int {
 		}
 	}
 	return max(1, min(s, pool))
+}
+
+// mergeAll runs the verified merge of every file, up to the stream
+// window at a time. Every file is merged even when one fails, so each
+// damaged chunk is demoted in this pass; the error returned is the
+// lowest-index failing file's, whatever order the merges finished in.
+func (e engine) mergeAll(sink chunkSink, man *manifest, n int) ([]string, error) {
+	sums := make([]string, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, e.tunedStreams(n))
+	var wg sync.WaitGroup
+	for fi := range n {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[fi], errs[fi] = e.merge(sink, man, fi)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sums, nil
 }
 
 // merge runs the verified merge of file fi through the sink, producing

@@ -27,14 +27,14 @@ var copyBufPool = sync.Pool{
 // through the chunk engine: each file is split into ChunkBytes-sized
 // chunks, a bounded pool of Streams workers copies them as parallel
 // ranged writes (SHA-256 of the source bytes computed in flight), and a
-// sequential verified merge re-reads the destination, checking every
-// chunk digest while producing the whole-file checksum (the role
-// checksums play in Globus Transfer). Progress is recorded in a per-task
-// chunk manifest — in memory always, mirrored under ManifestDir when set
-// — so an interrupted or failed transfer resumes from the last verified
-// chunk instead of restarting. With ChunkBytes 0 and Streams 1 the
-// engine degenerates exactly to a single whole-file copy-and-verify per
-// file, the pre-chunking behavior.
+// verified merge per file, up to Streams files at once, re-reads the
+// destination, checking every chunk digest while producing the
+// whole-file checksum (the role checksums play in Globus Transfer).
+// Progress is recorded in a per-task chunk manifest — in memory always,
+// mirrored under ManifestDir when set — so an interrupted or failed
+// transfer resumes from the last verified chunk instead of restarting.
+// With ChunkBytes 0 and Streams 1 the engine degenerates exactly to a
+// single whole-file copy-and-verify per file, the pre-chunking behavior.
 type LiveMover struct {
 	// Checksum disables integrity verification when false (an ablation the
 	// benchmarks exercise): no per-chunk digests, no verified merge.

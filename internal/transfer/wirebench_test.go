@@ -63,9 +63,14 @@ func (w *benchWorld) stage(b *testing.B, rel string, data []byte) {
 	}
 }
 
-func (w *benchWorld) move(b *testing.B, rel string, want TaskStatus) TaskView {
+// move submits one task carrying rels and waits for it to reach want.
+func (w *benchWorld) move(b *testing.B, want TaskStatus, rels ...string) TaskView {
 	b.Helper()
-	id, err := w.svc.Submit(w.tok, "src", "dst", []FileSpec{{RelPath: rel}})
+	files := make([]FileSpec, len(rels))
+	for i, rel := range rels {
+		files[i] = FileSpec{RelPath: rel}
+	}
+	id, err := w.svc.Submit(w.tok, "src", "dst", files)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +109,39 @@ func BenchmarkWireThroughput(b *testing.B) {
 		rel := fmt.Sprintf("bench/%d.bin", i)
 		w.stage(b, rel, data)
 		b.StartTimer()
-		w.move(b, rel, StatusSucceeded)
+		w.move(b, StatusSucceeded, rel)
+	}
+}
+
+// BenchmarkWireBatch moves one watcher batch per iteration in the shape
+// the live benchmark drains: eight 4 MiB files in one task, with the
+// shipped defaults of 64 MiB chunks (one chunk per file) and 4 streams.
+// The time covers chunk ship and the verified merge of every file.
+func BenchmarkWireBatch(b *testing.B) {
+	const files, size = 8, 4 << 20
+	w := newBenchWorld(b, 64<<20, 4, Options{})
+	data := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(data)
+
+	b.SetBytes(files * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// Last iteration's batch is removed on both sides, so the disk
+		// footprint stays one batch and every file lands fresh.
+		for _, root := range []string{w.srcRoot, w.dstRoot} {
+			if err := os.RemoveAll(filepath.Join(root, "batch")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rels := make([]string, files)
+		for j := range rels {
+			rels[j] = fmt.Sprintf("batch/%d-%d.bin", i, j)
+			w.stage(b, rels[j], data)
+		}
+		b.StartTimer()
+		w.move(b, StatusSucceeded, rels...)
 	}
 }
 
@@ -130,10 +167,10 @@ func BenchmarkWireReconnectResume(b *testing.B) {
 		rel := fmt.Sprintf("resume/%d.bin", i)
 		w.stage(b, rel, data)
 		w.mover.KillAfterChunks = 4
-		w.move(b, rel, StatusFailed)
+		w.move(b, StatusFailed, rel)
 		w.mover.KillAfterChunks = 0
 		b.StartTimer()
-		view := w.move(b, rel, StatusSucceeded)
+		view := w.move(b, StatusSucceeded, rel)
 		if view.ChunksSkipped != 4 || view.ChunksMoved != 4 {
 			b.Fatalf("resume skipped/moved = %d/%d, want 4/4", view.ChunksSkipped, view.ChunksMoved)
 		}

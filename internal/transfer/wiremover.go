@@ -21,8 +21,10 @@ import (
 // they leave the machine and re-checked by the daemon at the door,
 // resume verifies landed chunks with a remote range hash (32 bytes over
 // the wire instead of the chunk), and the verified merge runs daemon-side
-// in one request per file. The source endpoint's Root is a local
-// directory; the DESTINATION endpoint's Root is the daemon's host:port.
+// in one request per file, up to Streams requests at once. Chunks are
+// capped to fit one frame (see MaxFrame). The source endpoint's Root is
+// a local directory; the DESTINATION endpoint's Root is the daemon's
+// host:port.
 // All resume state is client-side: a daemon that is SIGKILLed and
 // restarted on the same storage root serves the resumed transfer with no
 // recovery step, because the manifest plus remote range hashes
@@ -45,7 +47,11 @@ type WireMover struct {
 	Dial func(addr string) (net.Conn, error)
 	// Timeout is the per-op wire deadline (0 = wire.DefaultTimeout).
 	Timeout time.Duration
-	// MaxFrame bounds received frames (0 = wire.DefaultMaxFrame).
+	// MaxFrame is the frame limit shared with the daemon (0 =
+	// wire.DefaultMaxFrame). It bounds received frames, and chunks are
+	// planned no larger than wire.MaxChunk(MaxFrame) — whole-file
+	// framing (ChunkBytes 0) included — so every chunk write fits one
+	// frame the daemon accepts.
 	MaxFrame uint32
 	// ChunkRetries re-sends a chunk the daemon rejected with a checksum
 	// mismatch up to this many extra times before failing the attempt
@@ -108,8 +114,8 @@ func (m *WireMover) Close() error {
 }
 
 func (m *WireMover) engine() engine {
-	return engine{checksum: m.Checksum, chunkBytes: m.ChunkBytes, streams: m.Streams, tuner: m.Tuner,
-		killAfter: m.KillAfterChunks, killed: &m.killed, store: m.store()}
+	return engine{checksum: m.Checksum, chunkBytes: m.ChunkBytes, maxChunk: wire.MaxChunk(m.MaxFrame),
+		streams: m.Streams, tuner: m.Tuner, killAfter: m.KillAfterChunks, killed: &m.killed, store: m.store()}
 }
 
 // Move implements Mover.

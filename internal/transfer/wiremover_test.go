@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,6 +325,171 @@ func TestWireMoverMergeDemotesMismatchedChunk(t *testing.T) {
 	}
 	if _, done := w.mover.store().done(man, spans[0]); !done {
 		t.Fatal("intact chunk demoted too")
+	}
+}
+
+// mergeHookMover runs an engine through the sinks open returns, calling
+// beforeMerge ahead of each file's verified merge: a hook for damaging
+// landed bytes after every chunk write succeeded.
+type mergeHookMover struct {
+	eng         engine
+	open        func(root string) chunkSink
+	beforeMerge func(fi int)
+}
+
+func (m mergeHookMover) Move(task *Task, src, dst *Endpoint, done func(Report, error)) {
+	go func() {
+		done(m.eng.move(task, src, dst, hookSink{m.open(dst.Root), m.beforeMerge}))
+	}()
+}
+
+type hookSink struct {
+	chunkSink
+	beforeMerge func(fi int)
+}
+
+func (s hookSink) merge(fi int, chunks []wire.MergeChunk) (string, int, error) {
+	s.beforeMerge(fi)
+	return s.chunkSink.merge(fi, chunks)
+}
+
+// TestConcurrentMergeDemotesDamagedChunk: a 4-file task merges its files
+// concurrently; one landed chunk of file 2 is damaged just before its
+// merge. The attempt fails with a checksum mismatch and demotes exactly
+// that chunk, the retry re-moves only it, and every reported checksum is
+// the source's SHA-256.
+func TestConcurrentMergeDemotesDamagedChunk(t *testing.T) {
+	const chunk, perFile = 1024, 4
+	for _, sink := range sinks {
+		t.Run(sink, func(t *testing.T) {
+			iss, tok := issuerAndToken(t)
+			srcRoot, dstRoot := t.TempDir(), t.TempDir()
+			var files []FileSpec
+			var want []string
+			for i := range 4 {
+				rel := fmt.Sprintf("f%d.bin", i)
+				files = append(files, FileSpec{RelPath: rel})
+				sum := sha256.Sum256(writeRandom(t, filepath.Join(srcRoot, rel), perFile*chunk, int64(20+i)))
+				want = append(want, hex.EncodeToString(sum[:]))
+			}
+
+			m := mergeHookMover{}
+			dst := dstRoot
+			switch sink {
+			case "local":
+				lm := &LiveMover{Checksum: true, ChunkBytes: chunk, Streams: 4}
+				m.eng = lm.engine()
+				m.open = func(root string) chunkSink { return &localSink{root: root} }
+			case "wire":
+				srv := &wire.Server{Root: dstRoot, Facility: "test"}
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				wm := &WireMover{Checksum: true, ChunkBytes: chunk, Streams: 4, Timeout: 10 * time.Second}
+				t.Cleanup(func() { wm.Close() })
+				m.eng = wm.engine()
+				m.open = func(addr string) chunkSink { return wm.sink(addr) }
+				dst = addr
+			}
+			var damaged atomic.Bool
+			m.beforeMerge = func(fi int) {
+				if fi != 2 || !damaged.CompareAndSwap(false, true) {
+					return
+				}
+				f, err := os.OpenFile(filepath.Join(dstRoot, "f2.bin"), os.O_RDWR, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer f.Close()
+				b := make([]byte, 1)
+				if _, err := f.ReadAt(b, chunk+10); err != nil {
+					t.Error(err)
+					return
+				}
+				b[0] ^= 0xFF
+				if _, err := f.WriteAt(b, chunk+10); err != nil {
+					t.Error(err)
+				}
+			}
+			svc := NewService(iss, m, time.Now, Options{MaxAttempts: 1})
+			svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
+			svc.RegisterEndpoint(Endpoint{ID: "dst", Root: dst})
+
+			id, err := svc.Submit(tok, "src", "dst", files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := waitFor(t, svc, tok, id, StatusFailed)
+			if !strings.Contains(view.Error, "checksum mismatch on f2.bin chunk @1024") {
+				t.Fatalf("error = %q, want a checksum mismatch on f2.bin chunk @1024", view.Error)
+			}
+			m.eng.store.mu.Lock()
+			for _, man := range m.eng.store.mem {
+				for fi, mf := range man.Files {
+					for ci, c := range mf.Chunks {
+						if c.Done == (fi == 2 && ci == 1) {
+							t.Errorf("file %d chunk %d done = %v", fi, ci, c.Done)
+						}
+					}
+				}
+			}
+			m.eng.store.mu.Unlock()
+
+			id2, err := svc.Submit(tok, "src", "dst", files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view = waitFor(t, svc, tok, id2, StatusSucceeded)
+			if view.ChunksMoved != 1 || view.ChunksSkipped != 4*perFile-1 {
+				t.Errorf("retry moved/skipped = %d/%d, want 1/%d", view.ChunksMoved, view.ChunksSkipped, 4*perFile-1)
+			}
+			for i, f := range files {
+				if got := view.Checksums[f.RelPath]; got != want[i] {
+					t.Errorf("%s checksum = %s, want %s", f.RelPath, got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestWireMoverChunksFitTheFrame: whole-file framing (ChunkBytes 0) of a
+// file larger than the frame limit is planned in chunks that fit one
+// frame, so the daemon accepts every chunk write and the file lands.
+func TestWireMoverChunksFitTheFrame(t *testing.T) {
+	const maxFrame = 1 << 20
+	iss, tok := issuerAndToken(t)
+	srcRoot, dstRoot := t.TempDir(), t.TempDir()
+	data := writeRandom(t, filepath.Join(srcRoot, "big.bin"), 2*maxFrame+100, 11)
+	srv := &wire.Server{Root: dstRoot, Facility: "test", MaxFrame: maxFrame}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	wm := &WireMover{Checksum: true, ChunkBytes: 0, Streams: 2, MaxFrame: maxFrame, Timeout: 10 * time.Second}
+	t.Cleanup(func() { wm.Close() })
+	svc := NewService(iss, wm, time.Now, Options{MaxAttempts: 1})
+	svc.RegisterEndpoint(Endpoint{ID: "src", Root: srcRoot})
+	svc.RegisterEndpoint(Endpoint{ID: "dst", Root: addr})
+
+	id, err := svc.Submit(tok, "src", "dst", []FileSpec{{RelPath: "big.bin"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := waitFor(t, svc, tok, id, StatusSucceeded)
+	if view.ChunksTotal < 3 || view.BytesCopied != int64(len(data)) {
+		t.Errorf("chunks/bytes copied = %d/%d, want >= 3 chunks carrying %d bytes", view.ChunksTotal, view.BytesCopied, len(data))
+	}
+	got, err := os.ReadFile(filepath.Join(dstRoot, "big.bin"))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("landed file differs from the source (err=%v)", err)
+	}
+	sum := sha256.Sum256(data)
+	if view.Checksums["big.bin"] != hex.EncodeToString(sum[:]) {
+		t.Errorf("checksum = %s, want %s", view.Checksums["big.bin"], hex.EncodeToString(sum[:]))
 	}
 }
 

@@ -563,7 +563,7 @@ func (s *Server) create(rel string) (*os.File, error) {
 }
 
 func (s *Server) readRange(rel string, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || n > int64(maxFrameBody(s.MaxFrame)) {
+	if off < 0 || n < 0 || n > MaxChunk(s.MaxFrame) {
 		return nil, fmt.Errorf("wire: bad read range @%d+%d", off, n)
 	}
 	path, err := s.resolve(rel)
@@ -637,6 +637,9 @@ func HashRange(f *os.File, off, n int64, buf []byte) (present bool, sum string, 
 // each chunk of the recorded plan against its digest. The plan must tile
 // the file exactly. It returns badChunk >= 0 (and no digest) on the
 // first chunk whose landed bytes do not match. buf is the copy scratch.
+// A one-chunk plan covers the whole file, so its chunk digest is the
+// whole-file digest: the bytes are hashed once and that digest serves
+// both the chunk check and the result.
 func VerifyMerge(f *os.File, rel string, chunks []MergeChunk, buf []byte) (sum string, badChunk int, err error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -652,10 +655,17 @@ func VerifyMerge(f *os.File, rel string, chunks []MergeChunk, buf []byte) (sum s
 	if expectOff != st.Size() {
 		return "", -1, fmt.Errorf("wire: bad merge plan: covers %d bytes, file %s has %d", expectOff, rel, st.Size())
 	}
-	whole, chunk := sha256.New(), sha256.New()
+	whole := sha256.New()
+	chunk, w := whole, io.Writer(whole)
+	if len(chunks) > 1 {
+		chunk = sha256.New()
+		w = io.MultiWriter(whole, chunk)
+	}
 	for i, c := range chunks {
-		chunk.Reset()
-		if _, err := io.CopyBuffer(io.MultiWriter(whole, chunk), io.NewSectionReader(f, c.Off, c.N), buf); err != nil {
+		if len(chunks) > 1 {
+			chunk.Reset()
+		}
+		if _, err := io.CopyBuffer(w, io.NewSectionReader(f, c.Off, c.N), buf); err != nil {
 			return "", -1, fmt.Errorf("wire: merge read %s @%d: %w", rel, c.Off, err)
 		}
 		if c.SHA256 != "" && hex.EncodeToString(chunk.Sum(nil)) != c.SHA256 {
@@ -680,14 +690,6 @@ func classify(err error) *ErrFrame {
 		code = CodeBadRequest
 	}
 	return &ErrFrame{Code: code, Msg: err.Error()}
-}
-
-// maxFrameBody is the biggest body one frame can carry.
-func maxFrameBody(maxFrame uint32) uint32 {
-	if maxFrame == 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	return maxFrame - 5
 }
 
 // isClosedConn reports the "use of closed network connection" family —

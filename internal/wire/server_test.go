@@ -258,12 +258,69 @@ func TestMergeChunkMismatch(t *testing.T) {
 		t.Fatalf("mismatch names chunk %d, want 1", re.Chunk)
 	}
 
+	// A one-chunk plan is checked in the single pass that yields the
+	// whole-file digest: intact, it answers the file's SHA-256; damaged,
+	// it names chunk 0.
+	one := bytes.Repeat([]byte{0x44}, 300)
+	oneSum := sha256.Sum256(one)
+	oneHex := hex.EncodeToString(oneSum[:])
+	if err := cl.Prepare("one.bin", 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.WriteChunk("one.bin", 0, one, oneHex); err != nil {
+		t.Fatal(err)
+	}
+	onePlan := []MergeChunk{{Off: 0, N: 300, SHA256: oneHex}}
+	if got, err := cl.Merge("one.bin", onePlan); err != nil || got != oneHex {
+		t.Fatalf("one-chunk merge = %q, %v; want %s", got, err, oneHex)
+	}
+	f, err = os.OpenFile(filepath.Join(srv.Root, "one.bin"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF}, 7); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, err = cl.Merge("one.bin", onePlan)
+	if !IsRemoteCode(err, CodeChunkMismatch) {
+		t.Fatalf("damaged one-chunk merge: err = %v, want CodeChunkMismatch", err)
+	}
+	if !asRemote(err, &re) || re.Chunk != 0 {
+		t.Fatalf("one-chunk mismatch names chunk %d, want 0", re.Chunk)
+	}
+
 	// A non-contiguous plan and a short plan are structural errors.
 	if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 256}, {Off: 300, N: 212}}); !IsRemoteCode(err, CodeBadRequest) {
 		t.Fatalf("gapped plan: err = %v, want CodeBadRequest", err)
 	}
 	if _, err := cl.Merge(rel, []MergeChunk{{Off: 0, N: 256}}); !IsRemoteCode(err, CodeBadRequest) {
 		t.Fatalf("short plan: err = %v, want CodeBadRequest", err)
+	}
+}
+
+// TestReadRangeFitsFrame: the largest ranged read the daemon serves
+// comes back in one frame the client accepts; one byte more is refused
+// as a bad request instead of producing a frame nobody can read.
+func TestReadRangeFitsFrame(t *testing.T) {
+	const maxFrame = 1 << 20
+	srv, cl, _ := startServer(t, func(s *Server) { s.MaxFrame = maxFrame })
+	cl.MaxFrame = maxFrame
+	n := MaxChunk(maxFrame)
+	data := bytes.Repeat([]byte{0x5A}, int(n)+1)
+	if err := os.WriteFile(filepath.Join(srv.Root, "r.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, sum, err := cl.ReadChunk("r.bin", 0, n)
+	if err != nil {
+		t.Fatalf("read of MaxChunk bytes: %v", err)
+	}
+	want := sha256.Sum256(data[:n])
+	if !bytes.Equal(got, data[:n]) || sum != hex.EncodeToString(want[:]) {
+		t.Fatal("read returned the wrong bytes or digest")
+	}
+	if _, _, err := cl.ReadChunk("r.bin", 0, n+1); !IsRemoteCode(err, CodeBadRequest) {
+		t.Fatalf("read of MaxChunk+1 bytes: err = %v, want CodeBadRequest", err)
 	}
 }
 

@@ -45,6 +45,23 @@ const Magic = "picowire"
 // gigabytes (the durable WAL's maxRecordBytes guard, scaled to frames).
 const DefaultMaxFrame = 256 << 20
 
+// headRoom is the room MaxChunk leaves for a chunk frame's JSON header:
+// a Write header carries the relative path, the offset and a digest, and
+// 64 KiB holds a PATH_MAX path even with every byte JSON-escaped.
+const headRoom = 64 << 10
+
+// MaxChunk is the largest chunk one frame under maxFrame can carry
+// (0 = DefaultMaxFrame): the frame limit minus the payload's type and
+// header-length prefix and headRoom for the header. Chunk writes are
+// planned no larger, and ranged reads are refused above it, so a chunk
+// request or answer always fits the frame its reader accepts.
+func MaxChunk(maxFrame uint32) int64 {
+	if maxFrame == 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	return max(1, int64(maxFrame)-5-headRoom)
+}
+
 // frameHead is the fixed per-frame header: u32 payload length,
 // u32 CRC32-C of the payload.
 const frameHead = 8
